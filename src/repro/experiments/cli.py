@@ -7,17 +7,27 @@ Examples::
     mediaworm run table3
     mediaworm all --profile default
     mediaworm faults --profile quick --rates 0,0.01
+    mediaworm failover --profile quick --severities 0,2,8
+    mediaworm disaster --profile smoke --severities none,switch
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import replace
 from typing import List, Optional
 
 from repro.errors import SimulationError
+from repro.experiments import disaster, failover, faultsweep
+from repro.experiments.campaign import (
+    Campaign,
+    campaign_to_text,
+    parse_axis,
+    run_campaign,
+)
 from repro.experiments.figures import (
     FIGURES,
     PROFILES,
@@ -34,6 +44,12 @@ from repro.experiments.resilience import RESEED_STEP, SweepCheckpoint
 from repro.experiments.tables import TABLES, run_table2, run_table3
 from repro.sim.engine import ENGINES
 
+#: the robustness campaigns, one subcommand each
+CAMPAIGNS = {
+    campaign.name: campaign
+    for campaign in (faultsweep.CAMPAIGN, failover.CAMPAIGN, disaster.CAMPAIGN)
+}
+
 _DESCRIPTIONS = {
     "fig3": "Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
     "fig4": "CBR vs VBR traffic (no best-effort)",
@@ -44,9 +60,7 @@ _DESCRIPTIONS = {
     "fig9": "2x2 fat-mesh performance",
     "table2": "Best-effort latency per mix and load",
     "table3": "PCS connection drop accounting",
-    "faults": "QoS degradation under link faults (fat mesh)",
-    "failover": "adaptive vs static routing under permanent link failures",
-    "disaster": "switch/pod failures and datacenter failover on trees",
+    **{name: campaign.description for name, campaign in CAMPAIGNS.items()},
     "trace": "one traced run: JSONL event stream, invariants, profiling",
     "chaos": "randomized differential fault campaign with scenario shrinking",
     "topo": "inspect a topology and its compiled route program",
@@ -99,6 +113,14 @@ def _maybe_save(json_path, result) -> None:
         save_result(json_path, result)
 
 
+def _write_json(path, summary) -> None:
+    """Write a campaign summary dict to ``path`` (if given) as JSON."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
 def _plot(fig) -> str:
     from repro.analysis.ascii_plot import figure_plot
 
@@ -138,143 +160,38 @@ def _run_one_resilient(
     raise last_error
 
 
-def _run_faults(args, profile, executor) -> int:
-    """The ``mediaworm faults`` subcommand: a checkpointed fault campaign."""
-    from repro.experiments.faultsweep import (
-        DEFAULT_FAULT_RATES,
-        fault_campaign_to_text,
-        run_fault_campaign,
-    )
-
-    if args.rates:
-        try:
-            rates = tuple(float(r) for r in args.rates.split(","))
-        except ValueError:
-            raise SystemExit(f"--rates must be comma-separated floats, got {args.rates!r}")
-        for rate in rates:
-            if not 0.0 <= rate <= 1.0:
-                raise SystemExit(f"fault rates must be in [0, 1], got {rate}")
-    else:
-        rates = DEFAULT_FAULT_RATES
-    path = args.checkpoint or f"mediaworm-faults-{args.profile}.checkpoint.json"
-    checkpoint = SweepCheckpoint(
-        path,
-        meta={
-            "command": "faults",
-            "profile": args.profile,
-            "rates": [f"{r:g}" for r in rates],
-        },
-    )
-    if args.fresh:
-        checkpoint.clear()
-    started = time.perf_counter()
-    fig = run_fault_campaign(
-        profile, rates, checkpoint=checkpoint, log=print, executor=executor
-    )
-    _maybe_save(args.json, fig)
-    print(fault_campaign_to_text(fig))
-    print(f"[faults completed in {time.perf_counter() - started:.1f}s]")
-    checkpoint.clear()
-    return 0
-
-
-def _run_failover(args, profile, executor) -> int:
-    """The ``mediaworm failover`` subcommand: adaptive vs static routing."""
-    from repro.experiments.failover import (
-        DEFAULT_SEVERITIES,
-        failover_campaign_to_text,
-        run_failover_campaign,
-    )
-
-    if args.severities:
-        try:
-            severities = tuple(int(s) for s in args.severities.split(","))
-        except ValueError:
-            raise SystemExit(
-                f"--severities must be comma-separated ints, got "
-                f"{args.severities!r}"
-            )
-        for severity in severities:
-            if severity < 0:
-                raise SystemExit(
-                    f"severities must be >= 0, got {severity}"
-                )
-    else:
-        severities = DEFAULT_SEVERITIES
+def _run_campaign(campaign: Campaign, args, profile, executor) -> int:
+    """A campaign subcommand (``faults``, ``failover``, ``disaster``)."""
+    values = parse_axis(campaign, getattr(args, campaign.axis))
     path = (
         args.checkpoint
-        or f"mediaworm-failover-{args.profile}.checkpoint.json"
+        or f"mediaworm-{campaign.name}-{args.profile}.checkpoint.json"
     )
     checkpoint = SweepCheckpoint(
         path,
         meta={
-            "command": "failover",
+            "command": campaign.name,
             "profile": args.profile,
-            "severities": list(severities),
+            campaign.axis: [campaign.meta(value) for value in values],
         },
     )
     if args.fresh:
         checkpoint.clear()
     started = time.perf_counter()
-    fig = run_failover_campaign(
+    fig = run_campaign(
+        campaign,
         profile,
-        severities,
+        values,
         checkpoint=checkpoint,
         log=print,
         executor=executor,
     )
     _maybe_save(args.json, fig)
-    print(failover_campaign_to_text(fig))
-    print(f"[failover completed in {time.perf_counter() - started:.1f}s]")
-    checkpoint.clear()
-    return 0
-
-
-def _run_disaster(args, profile, executor) -> int:
-    """The ``mediaworm disaster`` subcommand: datacenter failover."""
-    from repro.experiments.disaster import (
-        DEFAULT_SEVERITIES,
-        disaster_campaign_to_text,
-        run_disaster_campaign,
+    print(campaign_to_text(campaign, fig))
+    print(
+        f"[{campaign.name} completed in "
+        f"{time.perf_counter() - started:.1f}s]"
     )
-
-    if args.severities:
-        severities = tuple(
-            s.strip() for s in args.severities.split(",") if s.strip()
-        )
-        for severity in severities:
-            if severity not in DEFAULT_SEVERITIES:
-                raise SystemExit(
-                    f"unknown severity {severity!r} (choose from "
-                    f"{', '.join(DEFAULT_SEVERITIES)})"
-                )
-    else:
-        severities = DEFAULT_SEVERITIES
-    path = (
-        args.checkpoint
-        or f"mediaworm-disaster-{args.profile}.checkpoint.json"
-    )
-    checkpoint = SweepCheckpoint(
-        path,
-        meta={
-            "command": "disaster",
-            "profile": args.profile,
-            "severities": list(severities),
-        },
-    )
-    if args.fresh:
-        checkpoint.clear()
-    started = time.perf_counter()
-    fig = run_disaster_campaign(
-        profile,
-        severities,
-        checkpoint=checkpoint,
-        log=print,
-        executor=executor,
-    )
-    _maybe_save(args.json, fig)
-    print(disaster_campaign_to_text(fig))
-    print(f"[disaster completed in {time.perf_counter() - started:.1f}s]")
     checkpoint.clear()
     return 0
 
@@ -406,12 +323,7 @@ def _run_chaos(args) -> int:
         point_timeout=args.point_timeout,
         log=print,
     )
-    if args.json:
-        import json as _json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(args.json, summary)
     print(
         f"chaos campaign: {summary['passed']}/{summary['scenarios']} "
         f"scenarios passed (seed {summary['seed']})"
@@ -454,6 +366,44 @@ def _run_topo(args) -> int:
         raise SystemExit(str(exc))
     print(describe_topology(topology))
     return 0
+
+
+def _run_scale(args, parser) -> int:
+    """The ``mediaworm scale`` subcommand: digests at datacenter scale."""
+    from repro.experiments.scale import (
+        SCALE_POINTS,
+        SMOKE_POINTS,
+        run_scale_campaign,
+        scale_campaign_to_text,
+    )
+
+    if args.points and args.smoke:
+        parser.error("--points and --smoke are mutually exclusive")
+    points = SMOKE_POINTS if args.smoke else None
+    if args.points:
+        points = tuple(p.strip() for p in args.points.split(",") if p.strip())
+        for point in points:
+            if point not in SCALE_POINTS:
+                parser.error(
+                    f"unknown point {point!r}; "
+                    f"known: {', '.join(SCALE_POINTS)}"
+                )
+    started = time.perf_counter()
+    summary = run_scale_campaign(points, log=print)
+    _write_json(args.json, summary)
+    print(scale_campaign_to_text(summary))
+    print(f"[scale completed in {time.perf_counter() - started:.1f}s]")
+    return 0 if summary["ok"] else 1
+
+
+def _add_checkpoint_args(parser, text: str) -> None:
+    """``--checkpoint PATH`` (described by ``text``) and ``--fresh``."""
+    parser.add_argument("--checkpoint", metavar="PATH", default=None, help=text)
+    parser.add_argument(
+        "--fresh",
+        action="store_true",
+        help="discard any existing checkpoint and recompute everything",
+    )
 
 
 def _add_sweep_args(parser) -> None:
@@ -534,109 +484,33 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--profile", choices=sorted(PROFILES), default="default"
     )
     _add_sweep_args(all_parser)
-    all_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="checkpoint file (default: mediaworm-all-<profile>"
+    _add_checkpoint_args(
+        all_parser,
+        "checkpoint file (default: mediaworm-all-<profile>"
         ".checkpoint.json); an interrupted run resumes from it",
     )
-    all_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
-    )
 
-    faults_parser = sub.add_parser(
-        "faults", help="fault-injection campaign (delivered fraction, jitter)"
-    )
-    faults_parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="default"
-    )
-    _add_sweep_args(faults_parser)
-    faults_parser.add_argument(
-        "--rates",
-        metavar="R1,R2,...",
-        default=None,
-        help="comma-separated per-flit loss probabilities",
-    )
-    faults_parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-    faults_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="checkpoint file (default: mediaworm-faults-<profile>"
-        ".checkpoint.json)",
-    )
-    faults_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
-    )
-
-    failover_parser = sub.add_parser(
-        "failover",
-        help="permanent-failure campaign (adaptive vs static routing)",
-    )
-    failover_parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="default"
-    )
-    _add_sweep_args(failover_parser)
-    failover_parser.add_argument(
-        "--severities",
-        metavar="S1,S2,...",
-        default=None,
-        help="comma-separated failed fat-pair counts (0..8 on the 2x2 mesh)",
-    )
-    failover_parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-    failover_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="checkpoint file (default: mediaworm-failover-<profile>"
-        ".checkpoint.json)",
-    )
-    failover_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
-    )
-
-    disaster_parser = sub.add_parser(
-        "disaster",
-        help="switch/pod failure campaign on tree fabrics "
-        "(adaptive vs static)",
-    )
-    disaster_parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="default"
-    )
-    _add_sweep_args(disaster_parser)
-    disaster_parser.add_argument(
-        "--severities",
-        metavar="S1,S2,...",
-        default=None,
-        help="comma-separated severity names from none,link,switch,pod "
-        "(default: all; pod is skipped on the butterfly)",
-    )
-    disaster_parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-    disaster_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="checkpoint file (default: mediaworm-disaster-<profile>"
-        ".checkpoint.json)",
-    )
-    disaster_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
-    )
+    for campaign in CAMPAIGNS.values():
+        campaign_parser = sub.add_parser(campaign.name, help=campaign.help)
+        campaign_parser.add_argument(
+            "--profile", choices=sorted(PROFILES), default="default"
+        )
+        _add_sweep_args(campaign_parser)
+        letter = campaign.axis[0].upper()
+        campaign_parser.add_argument(
+            f"--{campaign.axis}",
+            metavar=f"{letter}1,{letter}2,...",
+            default=None,
+            help=campaign.axis_help,
+        )
+        campaign_parser.add_argument(
+            "--json", metavar="PATH", default=None, help="also write JSON"
+        )
+        _add_checkpoint_args(
+            campaign_parser,
+            f"checkpoint file (default: mediaworm-{campaign.name}"
+            "-<profile>.checkpoint.json)",
+        )
 
     trace_parser = sub.add_parser(
         "trace",
@@ -733,17 +607,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="directory for shrunk failing-scenario repros "
         "(default: chaos-corpus)",
     )
-    chaos_parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help="campaign checkpoint (default: mediaworm-chaos-<profile>"
+    _add_checkpoint_args(
+        chaos_parser,
+        "campaign checkpoint (default: mediaworm-chaos-<profile>"
         ".checkpoint.json); an interrupted campaign resumes from it",
-    )
-    chaos_parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard any existing checkpoint and recompute everything",
     )
     chaos_parser.add_argument(
         "--shrink-budget",
@@ -818,16 +685,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_topo(args)
 
     if args.command == "scale":
-        from repro.experiments.scale import main as scale_main
-
-        scale_argv = []
-        if args.points:
-            scale_argv += ["--points", args.points]
-        if args.smoke:
-            scale_argv.append("--smoke")
-        if args.json:
-            scale_argv += ["--json", args.json]
-        return scale_main(scale_argv)
+        return _run_scale(args, scale_parser)
 
     if args.command == "list":
         for name, desc in _DESCRIPTIONS.items():
@@ -873,12 +731,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         else None
     )
 
-    if args.command == "faults":
-        return _run_faults(args, profile, executor)
-    if args.command == "failover":
-        return _run_failover(args, profile, executor)
-    if args.command == "disaster":
-        return _run_disaster(args, profile, executor)
+    if args.command in CAMPAIGNS:
+        return _run_campaign(CAMPAIGNS[args.command], args, profile, executor)
 
     names = (
         [args.experiment]

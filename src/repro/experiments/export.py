@@ -13,9 +13,9 @@ from pathlib import Path
 from typing import Dict, Union
 
 from repro.errors import ConfigurationError
-from repro.experiments.figures import FigureData, Point
+from repro.experiments.campaign import point_from_dict, point_to_dict
+from repro.experiments.figures import FigureData
 from repro.experiments.tables import Table2Data, Table3Data, Table3Row
-from repro.metrics.collector import RunMetrics
 
 
 def figure_to_dict(fig: FigureData) -> Dict:
@@ -27,14 +27,7 @@ def figure_to_dict(fig: FigureData) -> Dict:
         "xlabel": fig.xlabel,
         "notes": fig.notes,
         "series": {
-            name: [
-                {
-                    "x": point.x,
-                    "metrics": dataclasses.asdict(point.metrics),
-                    "extra": point.extra,
-                }
-                for point in points
-            ]
+            name: [point_to_dict(point) for point in points]
             for name, points in fig.series.items()
         },
     }
@@ -47,14 +40,7 @@ def figure_from_dict(data: Dict) -> FigureData:
             f"expected kind='figure', got {data.get('kind')!r}"
         )
     series = {
-        name: [
-            Point(
-                x=entry["x"],
-                metrics=RunMetrics(**entry["metrics"]),
-                extra=dict(entry.get("extra") or {}),
-            )
-            for entry in points
-        ]
+        name: [point_from_dict(entry) for entry in points]
         for name, points in data["series"].items()
     }
     return FigureData(

@@ -27,31 +27,20 @@ with changed failover knobs recomputes instead of serving stale points.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
+from repro.experiments.campaign import (
+    JITTER_COLUMNS,
+    Campaign,
+    column,
+    with_recovery,
+)
 from repro.experiments.config import FatMeshExperiment
-from repro.experiments.faultsweep import (
-    _empty_metrics,
-    _point_from_dict,
-    _point_to_dict,
-)
-from repro.experiments.figures import (
-    FigureData,
-    Point,
-    _base_kwargs,
-    get_profile,
-)
-from repro.experiments.parallel import (
-    ParallelSweepExecutor,
-    SweepTask,
-    sweep_fingerprint,
-)
-from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.figures import Point, _base_kwargs
+from repro.experiments.parallel import sweep_fingerprint
 from repro.experiments.runner import simulate_fat_mesh
-from repro.faults import FaultPlan, LinkDownWindow, RecoveryConfig
-from repro.network.health import HealthConfig
+from repro.faults import FaultPlan, LinkDownWindow
 from repro.network.topology import fat_mesh
 from repro.router.config import RoutingMode
 
@@ -87,10 +76,10 @@ def _fat_pair_windows(
     groups: Dict[tuple, List[tuple]] = {}
     for src, sp, dst, dp in topology.channels:
         groups.setdefault((src, dst), []).append((src, sp, dst, dp))
-    if severity > len(groups):
+    if not 0 <= severity <= len(groups):
         raise ConfigurationError(
-            f"severity {severity} exceeds the {len(groups)} fat pairs "
-            f"of the {experiment.rows}x{experiment.cols} mesh"
+            f"severity {severity} is outside 0..{len(groups)}, the fat "
+            f"pairs of the {experiment.rows}x{experiment.cols} mesh"
         )
     windows = []
     for pair in sorted(groups)[:severity]:
@@ -113,33 +102,11 @@ def _campaign_experiment(
         vcs_per_pc=16,
         **_base_kwargs(profile),
     )
-    interval = base.workload_config().frame_interval_cycles
     # Failures land at the end of warmup, so detection and failover are
     # entirely inside the measurement window and time-to-recovery is
     # comparable across profiles.
-    onset = base.warmup_cycles
-    # Transport clocks scale as in the fault sweep; the QoS deadline
-    # gives each guaranteed message two frame intervals door-to-door,
-    # enough for a couple of retransmissions but strict enough that
-    # static routing's head-of-line stalls register as misses.
-    timeout = max(512, interval // 2)
-    recovery = RecoveryConfig(
-        timeout=timeout,
-        max_retries=8,
-        backoff_base=max(16, interval // 256),
-        backoff_cap=max(64, interval // 16),
-        qos_deadline=2 * interval,
-    )
-    return dataclasses.replace(
-        base,
-        faults=FaultPlan(down_windows=_fat_pair_windows(base, severity, onset)),
-        recovery=recovery,
-        health=HealthConfig(),
-        routing_mode=mode,
-        # permanent failures stall progress longer than transient loss;
-        # give the watchdog four intervals unless the profile overrides
-        watchdog_window=profile.watchdog_window or 4 * interval,
-    )
+    windows = _fat_pair_windows(base, severity, onset=base.warmup_cycles)
+    return with_recovery(base, profile, FaultPlan(down_windows=windows), mode)
 
 
 def _campaign_point(experiment: FatMeshExperiment) -> Point:
@@ -167,123 +134,42 @@ def _point_key(mode: str, severity: int, experiment) -> str:
     return f"{mode}@{severity}|{sweep_fingerprint(experiment)}"
 
 
-def run_failover_campaign(
-    profile="default",
-    severities: Optional[Sequence[int]] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    log=None,
-    executor: Optional[ParallelSweepExecutor] = None,
-) -> FigureData:
-    """Sweep permanent-failure severity for adaptive vs static routing.
-
-    Semantics mirror :func:`~repro.experiments.faultsweep
-    .run_fault_campaign`: completed points persist to the checkpoint
-    and are skipped on rerun, a point that fails every resilient retry
-    records a ``failed`` extra instead of aborting, and an executor
-    with ``jobs > 1`` runs points in a process pool bit-identically to
-    the serial path.
-    """
-    profile = get_profile(profile)
-    severities = (
-        DEFAULT_SEVERITIES if severities is None else tuple(severities)
-    )
-    if executor is None:
-        executor = ParallelSweepExecutor(jobs=1, log=log)
-    experiments = {
-        (mode, severity): _campaign_experiment(profile, mode, severity)
-        for mode in CAMPAIGN_MODES
-        for severity in severities
-    }
-    keys = {
-        point: _point_key(point[0], point[1], experiment)
-        for point, experiment in experiments.items()
-    }
-    tasks = [
-        SweepTask(
-            key=keys[(mode, severity)],
-            runner=_campaign_point,
-            experiment=experiments[(mode, severity)],
-        )
-        for mode in CAMPAIGN_MODES
-        for severity in severities
-    ]
-    if checkpoint is not None and log is not None:
-        for task in tasks:
-            if task.key in checkpoint:
-                log(f"[failover] {task.key}: restored from checkpoint")
-
-    failed: Dict[str, Point] = {}
-
-    def on_failure(task: SweepTask, exc: SimulationError) -> None:
-        point = Point(
-            len(task.experiment.faults.down_windows),
-            _empty_metrics(),
-            extra={"failed": f"{type(exc).__name__}: {exc}"},
-        )
-        failed[task.key] = point
-        if checkpoint is not None:
-            checkpoint.put(task.key, _point_to_dict(point))
-        if log is not None:
-            log(f"[failover] {task.key}: FAILED ({type(exc).__name__})")
-
-    results = executor.run(
-        tasks,
-        checkpoint=checkpoint,
-        encode=_point_to_dict,
-        decode=_point_from_dict,
-        on_failure=on_failure,
-    )
-    series: Dict[str, List[Point]] = {
-        mode: [
-            results.get(keys[(mode, severity)])
-            or failed[keys[(mode, severity)]]
-            for severity in severities
-        ]
-        for mode in CAMPAIGN_MODES
-    }
-    return FigureData(
-        figure_id="failover",
-        title=(
-            "QoS failover under permanent link failures "
-            "(2x2 fat mesh, 80:20 mix, load 0.6)"
-        ),
-        xlabel="failed fat-pair members",
-        series=series,
-        notes="one permanent member failure per fat pair at end of "
-        "warmup; health monitoring on in both modes, failover actions "
-        "only in adaptive",
-    )
+def _check_severity(severity: int) -> None:
+    """A severity is valid iff the campaign's mesh has that many fat pairs."""
+    _fat_pair_windows(FatMeshExperiment(), severity, onset=0)
 
 
-def failover_campaign_to_text(fig: FigureData) -> str:
-    """Render the campaign as an aligned terminal table."""
-    header = (
-        f"{'routing':<9} {'failed':>6} {'qos frac':>9} {'misses':>7} "
-        f"{'d (ms)':>8} {'sigma_d':>8} {'reroute':>8} {'detour':>7} "
-        f"{'requeue':>8} {'shed':>5} {'abandoned':>9}"
-    )
-    lines = [fig.title, header, "-" * len(header)]
-    for name, points in fig.series.items():
-        for point in points:
-            extra = point.extra
-            if "failed" in extra:
-                lines.append(
-                    f"{name:<9} {point.x:>6} "
-                    f"{'FAILED: ' + str(extra['failed'])}"
-                )
-                continue
-            health = extra.get("health") or {}
-            lines.append(
-                f"{name:<9} {point.x:>6} "
-                f"{extra.get('qos_delivered_fraction', 1.0):>9.4f} "
-                f"{extra.get('qos_deadline_misses', 0):>7} "
-                f"{point.d:>8.3f} {point.sigma_d:>8.3f} "
-                f"{health.get('reroutes', 0):>8} "
-                f"{health.get('detours', 0):>7} "
-                f"{health.get('worms_requeued', 0):>8} "
-                f"{health.get('streams_shed', 0):>5} "
-                f"{extra.get('qos_abandoned', 0):>9}"
-            )
-    if fig.notes:
-        lines.append(f"({fig.notes})")
-    return "\n".join(lines)
+CAMPAIGN = Campaign(
+    name="failover",
+    description="adaptive vs static routing under permanent link failures",
+    help="permanent-failure campaign (adaptive vs static routing)",
+    series=(CAMPAIGN_MODES,),
+    axis="severities",
+    axis_help="comma-separated failed fat-pair counts (0..8 on the 2x2 mesh)",
+    defaults=DEFAULT_SEVERITIES,
+    parse=int,
+    validate=_check_severity,
+    experiment=_campaign_experiment,
+    point=_campaign_point,
+    key=_point_key,
+    title=(
+        "QoS failover under permanent link failures "
+        "(2x2 fat mesh, 80:20 mix, load 0.6)"
+    ),
+    xlabel="failed fat-pair members",
+    notes="one permanent member failure per fat pair at end of "
+    "warmup; health monitoring on in both modes, failover actions "
+    "only in adaptive",
+    series_column=("routing", 9),
+    columns=(
+        ("failed", 6, lambda p: format(p.x)),
+        column("qos frac", 9, "qos_delivered_fraction", ".4f", 1.0),
+        column("misses", 7, "qos_deadline_misses"),
+        *JITTER_COLUMNS,
+        column("reroute", 8, "health.reroutes"),
+        column("detour", 7, "health.detours"),
+        column("requeue", 8, "health.worms_requeued"),
+        column("shed", 5, "health.streams_shed"),
+        column("abandoned", 9, "qos_abandoned"),
+    ),
+)

@@ -15,27 +15,18 @@ resumes where it stopped.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Sequence
-
 from repro.core.schedulers import SchedulingPolicy
-from repro.errors import SimulationError
+from repro.experiments.campaign import (
+    JITTER_COLUMNS,
+    Campaign,
+    column,
+    with_recovery,
+)
 from repro.experiments.config import FatMeshExperiment
-from repro.experiments.figures import (
-    FigureData,
-    Point,
-    _base_kwargs,
-    get_profile,
-)
-from repro.experiments.parallel import (
-    ParallelSweepExecutor,
-    SweepTask,
-    sweep_fingerprint,
-)
-from repro.experiments.resilience import SweepCheckpoint
+from repro.experiments.figures import Point, _base_kwargs
+from repro.experiments.parallel import sweep_fingerprint
 from repro.experiments.runner import simulate_fat_mesh
-from repro.faults import FaultPlan, RecoveryConfig
-from repro.metrics.collector import RunMetrics
+from repro.faults import FaultPlan
 
 #: per-flit loss probabilities swept by ``mediaworm faults``
 DEFAULT_FAULT_RATES = (0.0, 0.001, 0.005, 0.01, 0.02)
@@ -54,27 +45,7 @@ def _campaign_experiment(profile, policy: str, rate: float) -> FatMeshExperiment
         vcs_per_pc=16,
         **_base_kwargs(profile),
     )
-    # Scale the transport's clocks to the workload.  The timeout runs
-    # from the header flit leaving the NI and must cover the message's
-    # own rate pacing (~message_size * vtick, a fifth of a frame
-    # interval here) plus transit and contention; half an interval
-    # leaves ample slack without delaying loss detection much.
-    interval = base.workload_config().frame_interval_cycles
-    timeout = max(512, interval // 2)
-    recovery = RecoveryConfig(
-        timeout=timeout,
-        max_retries=6,
-        backoff_base=max(16, interval // 256),
-        backoff_cap=max(64, interval // 16),
-    )
-    return dataclasses.replace(
-        base,
-        faults=FaultPlan(flit_loss_prob=rate),
-        recovery=recovery,
-        # the profile's watchdog (mediaworm --watchdog) wins over the
-        # campaign's scaled default of two frame intervals
-        watchdog_window=profile.watchdog_window or 2 * interval,
-    )
+    return with_recovery(base, profile, FaultPlan(flit_loss_prob=rate))
 
 
 def _campaign_point(experiment: FatMeshExperiment) -> Point:
@@ -106,143 +77,36 @@ def _point_key(policy: str, rate: float, experiment=None) -> str:
     return f"{key}|{fingerprint}" if fingerprint else key
 
 
-def _empty_metrics() -> RunMetrics:
-    """Placeholder metrics for a point that failed every retry."""
-    return RunMetrics(
-        mean_delivery_interval_ms=0.0,
-        std_delivery_interval_ms=0.0,
-        frames_delivered=0,
-        interval_count=0,
-        be_latency_us=0.0,
-        be_latency_us_paper_equivalent=0.0,
-        be_latency_std_us=0.0,
-        be_message_count=0,
-    )
+def _check_rate(rate: float) -> None:
+    """A loss rate is valid iff a fault plan accepts it (0 <= rate <= 1)."""
+    FaultPlan(flit_loss_prob=rate)
 
 
-def _point_to_dict(point: Point) -> Dict:
-    return {
-        "x": point.x,
-        "metrics": dataclasses.asdict(point.metrics),
-        "extra": point.extra,
-    }
-
-
-def _point_from_dict(data: Dict) -> Point:
-    return Point(
-        x=data["x"],
-        metrics=RunMetrics(**data["metrics"]),
-        extra=dict(data.get("extra") or {}),
-    )
-
-
-def run_fault_campaign(
-    profile="default",
-    rates: Optional[Sequence[float]] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    log=None,
-    executor: Optional[ParallelSweepExecutor] = None,
-) -> FigureData:
-    """Sweep flit-loss rates for both schedulers on the fat mesh.
-
-    With a ``checkpoint``, every completed point is persisted and a
-    rerun with the same metadata skips straight past it; a point that
-    keeps failing after the resilient retries records a ``failed`` extra
-    instead of aborting the campaign.  An ``executor`` with ``jobs > 1``
-    farms the points out to a process pool; results are bit-identical
-    to the serial path (each point seeds its own RNG streams).
-    """
-    profile = get_profile(profile)
-    rates = DEFAULT_FAULT_RATES if rates is None else tuple(rates)
-    if executor is None:
-        executor = ParallelSweepExecutor(jobs=1, log=log)
-    policies = (SchedulingPolicy.VIRTUAL_CLOCK, SchedulingPolicy.FIFO)
-    experiments = {
-        (policy, rate): _campaign_experiment(profile, policy, rate)
-        for policy in policies
-        for rate in rates
-    }
-    keys = {
-        (policy, rate): _point_key(policy, rate, experiment)
-        for (policy, rate), experiment in experiments.items()
-    }
-    tasks = [
-        SweepTask(
-            key=keys[(policy, rate)],
-            runner=_campaign_point,
-            experiment=experiments[(policy, rate)],
-        )
-        for policy in policies
-        for rate in rates
-    ]
-    if checkpoint is not None and log is not None:
-        for task in tasks:
-            if task.key in checkpoint:
-                log(f"[faults] {task.key}: restored from checkpoint")
-
-    failed: Dict[str, Point] = {}
-
-    def on_failure(task: SweepTask, exc: SimulationError) -> None:
-        rate = task.experiment.faults.flit_loss_prob
-        point = Point(
-            rate,
-            _empty_metrics(),
-            extra={"failed": f"{type(exc).__name__}: {exc}"},
-        )
-        failed[task.key] = point
-        if checkpoint is not None:
-            checkpoint.put(task.key, _point_to_dict(point))
-        if log is not None:
-            log(f"[faults] {task.key}: FAILED ({type(exc).__name__})")
-
-    results = executor.run(
-        tasks,
-        checkpoint=checkpoint,
-        encode=_point_to_dict,
-        decode=_point_from_dict,
-        on_failure=on_failure,
-    )
-    series: Dict[str, List[Point]] = {
-        policy: [
-            results.get(keys[(policy, rate)]) or failed[keys[(policy, rate)]]
-            for rate in rates
-        ]
-        for policy in policies
-    }
-    return FigureData(
-        figure_id="faults",
-        title="QoS under link faults (2x2 fat mesh, 80:20 mix, load 0.7)",
-        xlabel="per-flit loss probability",
-        series=series,
-        notes="end-to-end recovery enabled (checksum + timeout/"
-        "retransmission with capped exponential backoff)",
-    )
-
-
-def fault_campaign_to_text(fig: FigureData) -> str:
-    """Render the campaign as an aligned terminal table."""
-    header = (
-        f"{'scheduler':<14} {'loss rate':>9} {'delivered':>9} "
-        f"{'d (ms)':>8} {'sigma_d':>8} {'lost':>7} {'rexmit':>7} "
-        f"{'abandoned':>9}"
-    )
-    lines = [fig.title, header, "-" * len(header)]
-    for name, points in fig.series.items():
-        for point in points:
-            extra = point.extra
-            if "failed" in extra:
-                lines.append(
-                    f"{name:<14} {point.x:>9g} {'FAILED: ' + str(extra['failed'])}"
-                )
-                continue
-            delivered = extra.get("delivered_fraction", 1.0)
-            lines.append(
-                f"{name:<14} {point.x:>9g} {delivered:>9.4f} "
-                f"{point.d:>8.3f} {point.sigma_d:>8.3f} "
-                f"{extra.get('flits_lost', 0):>7} "
-                f"{extra.get('retransmissions', 0):>7} "
-                f"{extra.get('abandoned', 0):>9}"
-            )
-    if fig.notes:
-        lines.append(f"({fig.notes})")
-    return "\n".join(lines)
+CAMPAIGN = Campaign(
+    name="faults",
+    description="QoS degradation under link faults (fat mesh)",
+    help="fault-injection campaign (delivered fraction, jitter)",
+    series=((SchedulingPolicy.VIRTUAL_CLOCK, SchedulingPolicy.FIFO),),
+    axis="rates",
+    axis_help="comma-separated per-flit loss probabilities",
+    defaults=DEFAULT_FAULT_RATES,
+    parse=float,
+    validate=_check_rate,
+    meta="{:g}".format,
+    experiment=_campaign_experiment,
+    point=_campaign_point,
+    key=_point_key,
+    title="QoS under link faults (2x2 fat mesh, 80:20 mix, load 0.7)",
+    xlabel="per-flit loss probability",
+    notes="end-to-end recovery enabled (checksum + timeout/"
+    "retransmission with capped exponential backoff)",
+    series_column=("scheduler", 14),
+    columns=(
+        ("loss rate", 9, lambda p: format(p.x, "g")),
+        column("delivered", 9, "delivered_fraction", ".4f", 1.0),
+        *JITTER_COLUMNS,
+        column("lost", 7, "flits_lost"),
+        column("rexmit", 7, "retransmissions"),
+        column("abandoned", 9, "abandoned"),
+    ),
+)

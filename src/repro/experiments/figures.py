@@ -141,6 +141,31 @@ def _base_kwargs(profile: RunProfile) -> Dict:
     return kwargs
 
 
+def _grid(
+    series: Dict[str, object],
+    xs: Sequence,
+    build,
+    executor,
+    runner=simulate_single_switch,
+    label=lambda x: f"{x:g}",
+) -> Dict[str, List[Point]]:
+    """One run of ``build(value, x)`` per series ``name: value`` and x.
+
+    Returns the figure's series: a :class:`Point` of run metrics per x,
+    in ``xs`` order (task keys are ``name@label(x)``).
+    """
+    keys = {(name, x): f"{name}@{label(x)}" for name in series for x in xs}
+    tasks = [
+        SweepTask(key=key, runner=runner, experiment=build(series[name], x))
+        for (name, x), key in keys.items()
+    ]
+    results = execute_tasks(tasks, executor)
+    return {
+        name: [Point(x, results[keys[name, x]].metrics) for x in xs]
+        for name in series
+    }
+
+
 # ----------------------------------------------------------------------
 # Figure 3 — Virtual Clock vs FIFO (16 VCs, 80:20 mix)
 
@@ -159,29 +184,18 @@ def run_fig3(
     profile = get_profile(profile)
     loads = DEFAULT_LOADS if loads is None else loads
     policies = (SchedulingPolicy.VIRTUAL_CLOCK, SchedulingPolicy.FIFO)
-    tasks = [
-        SweepTask(
-            key=f"{policy}@{load:g}",
-            runner=simulate_single_switch,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=(80, 20),
-                scheduler=policy,
-                vcs_per_pc=16,
-                **_base_kwargs(profile),
-            ),
-        )
-        for policy in policies
-        for load in loads
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        policy: [
-            Point(load, results[f"{policy}@{load:g}"].metrics)
-            for load in loads
-        ]
-        for policy in policies
-    }
+    series = _grid(
+        {policy: policy for policy in policies},
+        loads,
+        lambda policy, load: SingleSwitchExperiment(
+            load=load,
+            mix=(80, 20),
+            scheduler=policy,
+            vcs_per_pc=16,
+            **_base_kwargs(profile),
+        ),
+        executor,
+    )
     return FigureData(
         figure_id="fig3",
         title="Virtual Clock vs FIFO (16 VCs, 80:20 mix)",
@@ -203,29 +217,18 @@ def run_fig4(
     profile = get_profile(profile)
     loads = DEFAULT_LOADS if loads is None else loads
     classes = (TrafficClass.VBR, TrafficClass.CBR)
-    tasks = [
-        SweepTask(
-            key=f"{rt_class}@{load:g}",
-            runner=simulate_single_switch,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=(100, 0),
-                rt_class=rt_class,
-                vcs_per_pc=16,
-                **_base_kwargs(profile),
-            ),
-        )
-        for rt_class in classes
-        for load in loads
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        rt_class: [
-            Point(load, results[f"{rt_class}@{load:g}"].metrics)
-            for load in loads
-        ]
-        for rt_class in classes
-    }
+    series = _grid(
+        {rt_class: rt_class for rt_class in classes},
+        loads,
+        lambda rt_class, load: SingleSwitchExperiment(
+            load=load,
+            mix=(100, 0),
+            rt_class=rt_class,
+            vcs_per_pc=16,
+            **_base_kwargs(profile),
+        ),
+        executor,
+    )
     return FigureData(
         figure_id="fig4",
         title="CBR vs VBR traffic (16 VCs, 400 Mbps links)",
@@ -326,29 +329,18 @@ def run_fig6(
         ("4 VCs, multiplexed", 4, CrossbarKind.MULTIPLEXED),
         ("4 VCs, full crossbar", 4, CrossbarKind.FULL),
     )
-    tasks = [
-        SweepTask(
-            key=f"{label}@{load:g}",
-            runner=simulate_single_switch,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=(100, 0),
-                vcs_per_pc=vcs,
-                crossbar=crossbar,
-                **_base_kwargs(profile),
-            ),
-        )
-        for label, vcs, crossbar in configs
-        for load in loads
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        label: [
-            Point(load, results[f"{label}@{load:g}"].metrics)
-            for load in loads
-        ]
-        for label, _, _ in configs
-    }
+    series = _grid(
+        {label: (vcs, crossbar) for label, vcs, crossbar in configs},
+        loads,
+        lambda config, load: SingleSwitchExperiment(
+            load=load,
+            mix=(100, 0),
+            vcs_per_pc=config[0],
+            crossbar=config[1],
+            **_base_kwargs(profile),
+        ),
+        executor,
+    )
     return FigureData(
         figure_id="fig6",
         title="Impact of VCs and crossbar capability (100:0)",
@@ -383,30 +375,19 @@ def run_fig7(
         # (4167 flits), so it scales with the workload.
         top = max(40, int(2560 / profile.scale))
         message_sizes = tuple(sorted({10, 20, 40, 80, 160, top}))
-    tasks = [
-        SweepTask(
-            key=f"load={load:g}@{size}",
-            runner=simulate_single_switch,
-            experiment=SingleSwitchExperiment(
-                load=load,
-                mix=(100, 0),
-                vcs_per_pc=16,
-                message_size=size,
-                header_flits=1,
-                **_base_kwargs(profile),
-            ),
-        )
-        for load in loads
-        for size in message_sizes
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        f"load={load:g}": [
-            Point(size, results[f"load={load:g}@{size}"].metrics)
-            for size in message_sizes
-        ]
-        for load in loads
-    }
+    series = _grid(
+        {f"load={load:g}": load for load in loads},
+        message_sizes,
+        lambda load, size: SingleSwitchExperiment(
+            load=load,
+            mix=(100, 0),
+            vcs_per_pc=16,
+            message_size=size,
+            header_flits=1,
+            **_base_kwargs(profile),
+        ),
+        executor,
+    )
     return FigureData(
         figure_id="fig7",
         title="Effect of message size on jitter (16 VCs)",
@@ -498,31 +479,20 @@ def run_fig9(
     profile = get_profile(profile)
     loads = FIG9_LOADS if loads is None else loads
     mixes = DEFAULT_FAT_MESH_MIXES if mixes is None else mixes
-    tasks = [
-        SweepTask(
-            key=f"load={load:g}@{mix[0]:g}:{mix[1]:g}",
-            runner=simulate_fat_mesh,
-            experiment=FatMeshExperiment(
-                load=load,
-                mix=tuple(mix),
-                vcs_per_pc=16,
-                **_base_kwargs(profile),
-            ),
-        )
-        for load in loads
-        for mix in mixes
-    ]
-    results = execute_tasks(tasks, executor)
-    series: Dict[str, List[Point]] = {
-        f"load={load:g}": [
-            Point(
-                f"{mix[0]:g}:{mix[1]:g}",
-                results[f"load={load:g}@{mix[0]:g}:{mix[1]:g}"].metrics,
-            )
-            for mix in mixes
-        ]
-        for load in loads
-    }
+    mix_of = {f"{mix[0]:g}:{mix[1]:g}": tuple(mix) for mix in mixes}
+    series = _grid(
+        {f"load={load:g}": load for load in loads},
+        tuple(mix_of),
+        lambda load, label: FatMeshExperiment(
+            load=load,
+            mix=mix_of[label],
+            vcs_per_pc=16,
+            **_base_kwargs(profile),
+        ),
+        executor,
+        runner=simulate_fat_mesh,
+        label=str,
+    )
     return FigureData(
         figure_id="fig9",
         title="(2x2) fat mesh: jitter and best-effort latency",

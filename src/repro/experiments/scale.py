@@ -21,14 +21,13 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.bench_core import _metrics_dict
@@ -218,52 +217,7 @@ def scale_campaign_to_text(summary: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="scale",
-        description="Prove compiled routing at 1024+ hosts.",
-    )
-    parser.add_argument(
-        "--points",
-        metavar="P1,P2,...",
-        default=None,
-        help=f"comma-separated point names (default: all; "
-        f"known: {', '.join(SCALE_POINTS)})",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=f"run only the quick smoke subset ({', '.join(SMOKE_POINTS)})",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None, help="also write JSON"
-    )
-    args = parser.parse_args(argv)
-
-    if args.points and args.smoke:
-        parser.error("--points and --smoke are mutually exclusive")
-    points: Optional[Tuple[str, ...]] = None
-    if args.smoke:
-        points = SMOKE_POINTS
-    elif args.points:
-        points = tuple(p.strip() for p in args.points.split(",") if p.strip())
-        for point in points:
-            if point not in SCALE_POINTS:
-                parser.error(
-                    f"unknown point {point!r}; "
-                    f"known: {', '.join(SCALE_POINTS)}"
-                )
-
-    started = time.perf_counter()
-    summary = run_scale_campaign(points, log=print)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    print(scale_campaign_to_text(summary))
-    print(f"[scale completed in {time.perf_counter() - started:.1f}s]")
-    return 0 if summary["ok"] else 1
-
-
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    from repro.experiments.cli import main
+
+    sys.exit(main(["scale", *sys.argv[1:]]))

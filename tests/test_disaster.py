@@ -4,18 +4,19 @@ import dataclasses
 
 import pytest
 
+from campaign_fakes import CLI_VALUES, must_not_run, restore_fixture
 from conftest import TINY
 
 from repro.errors import ConfigurationError, FaultConfigError, SimulationError
 from repro.experiments import disaster
+from repro.experiments.campaign import campaign_to_text, run_campaign
 from repro.experiments.config import ButterflyExperiment, FatTree3Experiment
 from repro.experiments.disaster import (
+    CAMPAIGN,
     CAMPAIGN_MODES,
     CAMPAIGN_TOPOLOGIES,
     _campaign_experiment,
     _point_key,
-    disaster_campaign_to_text,
-    run_disaster_campaign,
 )
 from repro.experiments.figures import get_profile
 from repro.experiments.runner import (
@@ -447,9 +448,7 @@ class TestRunDisasterCampaign:
     def test_series_shape_and_butterfly_skips_pod(self, monkeypatch):
         monkeypatch.setattr(disaster, "simulate_fat_tree3", _fake_result)
         monkeypatch.setattr(disaster, "simulate_butterfly", _fake_result)
-        fig = run_disaster_campaign(
-            "quick", severities=("none", "switch", "pod")
-        )
+        fig = run_campaign(CAMPAIGN, "quick", ("none", "switch", "pod"))
         assert fig.figure_id == "disaster"
         assert set(fig.series) == {
             f"{kind}/{mode}"
@@ -466,7 +465,30 @@ class TestRunDisasterCampaign:
 
     def test_unknown_severity_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown severity"):
-            run_disaster_campaign("quick", severities=("tsunami",))
+            run_campaign(CAMPAIGN, "quick", ("tsunami",))
+
+    def test_old_checkpoint_restores_without_recompute(
+        self, monkeypatch, tmp_path
+    ):
+        """Keys and point encoding match a checkpoint an earlier release
+        wrote (tests/campaign_fixtures/disaster.checkpoint.json)."""
+        monkeypatch.setattr(disaster, "simulate_fat_tree3", must_not_run)
+        monkeypatch.setattr(disaster, "simulate_butterfly", must_not_run)
+        cp = restore_fixture("disaster", tmp_path)
+        logs = []
+        fig = run_campaign(
+            CAMPAIGN,
+            "quick",
+            CLI_VALUES["disaster"],
+            checkpoint=cp,
+            log=logs.append,
+        )
+        # the butterfly has no pod rung: 6 fat-tree + 4 butterfly points
+        assert len(logs) == len(cp.done_keys) == 10
+        assert all("restored from checkpoint" in line for line in logs)
+        static = fig.series["fat-tree/static"]
+        assert [p.extra["severity"] for p in static] == ["none", "switch", "pod"]
+        assert static[2].x == 3 and "failed" in static[2].extra
 
     def test_failed_point_recorded_not_fatal(self, monkeypatch):
         def flaky(experiment):
@@ -476,17 +498,17 @@ class TestRunDisasterCampaign:
 
         monkeypatch.setattr(disaster, "simulate_fat_tree3", flaky)
         monkeypatch.setattr(disaster, "simulate_butterfly", flaky)
-        fig = run_disaster_campaign("quick", severities=("switch",))
+        fig = run_campaign(CAMPAIGN, "quick", ("switch",))
         static = fig.series["fat-tree/static"][0]
         assert "failed" in static.extra
         assert static.extra["severity"] == "switch"
-        assert "FAILED" in disaster_campaign_to_text(fig)
+        assert "FAILED" in campaign_to_text(CAMPAIGN, fig)
 
     def test_text_rendering(self, monkeypatch):
         monkeypatch.setattr(disaster, "simulate_fat_tree3", _fake_result)
         monkeypatch.setattr(disaster, "simulate_butterfly", _fake_result)
-        fig = run_disaster_campaign("quick", severities=("none", "switch"))
-        text = disaster_campaign_to_text(fig)
+        fig = run_campaign(CAMPAIGN, "quick", ("none", "switch"))
+        text = campaign_to_text(CAMPAIGN, fig)
         assert "reach frac" in text and "isolated" in text
         assert "fat-tree/adaptive" in text and "butterfly/static" in text
 

@@ -4,16 +4,18 @@ import dataclasses
 
 import pytest
 
+from campaign_fakes import CLI_VALUES, must_not_run, restore_fixture
+
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import failover
+from repro.experiments.campaign import campaign_to_text, run_campaign
 from repro.experiments.config import FatMeshExperiment
 from repro.experiments.failover import (
+    CAMPAIGN,
     CAMPAIGN_MODES,
     _campaign_experiment,
     _fat_pair_windows,
     _point_key,
-    failover_campaign_to_text,
-    run_failover_campaign,
 )
 from repro.experiments.faultsweep import _point_key as fault_point_key
 from repro.experiments.figures import get_profile
@@ -88,6 +90,10 @@ class TestFatPairWindows:
         with pytest.raises(ConfigurationError, match="fat pairs"):
             _fat_pair_windows(FatMeshExperiment(), 9, onset=0)
 
+    def test_negative_severity_rejected(self):
+        with pytest.raises(ConfigurationError, match="fat pairs"):
+            _fat_pair_windows(FatMeshExperiment(), -1, onset=0)
+
 
 class TestCampaignExperiment:
     def test_point_carries_the_failover_stack(self):
@@ -136,7 +142,7 @@ def _fake_result(experiment):
 class TestRunFailoverCampaign:
     def test_series_shape_and_extras(self, monkeypatch):
         monkeypatch.setattr(failover, "simulate_fat_mesh", _fake_result)
-        fig = run_failover_campaign("quick", severities=(0, 2))
+        fig = run_campaign(CAMPAIGN, "quick", (0, 2))
         assert fig.figure_id == "failover"
         assert set(fig.series) == set(CAMPAIGN_MODES)
         for mode in CAMPAIGN_MODES:
@@ -150,23 +156,46 @@ class TestRunFailoverCampaign:
         monkeypatch.setattr(failover, "simulate_fat_mesh", _fake_result)
         path = tmp_path / "failover.ckpt.json"
         meta = {"command": "failover"}
-        run_failover_campaign(
-            "quick", severities=(0,), checkpoint=SweepCheckpoint(path, meta=meta)
+        run_campaign(
+            CAMPAIGN, "quick", (0,), checkpoint=SweepCheckpoint(path, meta=meta)
         )
 
-        def boom(experiment):
-            raise AssertionError("restored points must not recompute")
-
-        monkeypatch.setattr(failover, "simulate_fat_mesh", boom)
+        monkeypatch.setattr(failover, "simulate_fat_mesh", must_not_run)
         logs = []
-        fig = run_failover_campaign(
+        fig = run_campaign(
+            CAMPAIGN,
             "quick",
-            severities=(0,),
+            (0,),
             checkpoint=SweepCheckpoint(path, meta=meta),
             log=logs.append,
         )
         assert any("restored from checkpoint" in line for line in logs)
         assert [p.x for p in fig.series[RoutingMode.ADAPTIVE]] == [0]
+
+    def test_old_checkpoint_restores_without_recompute(
+        self, monkeypatch, tmp_path
+    ):
+        """Keys and point encoding match a checkpoint an earlier release
+        wrote (tests/campaign_fixtures/failover.checkpoint.json)."""
+        monkeypatch.setattr(failover, "simulate_fat_mesh", must_not_run)
+        cp = restore_fixture("failover", tmp_path)
+        logs = []
+        fig = run_campaign(
+            CAMPAIGN,
+            "quick",
+            CLI_VALUES["failover"],
+            checkpoint=cp,
+            log=logs.append,
+        )
+        assert len(logs) == len(cp.done_keys) == 6
+        assert all("restored from checkpoint" in line for line in logs)
+        assert [p.x for p in fig.series[RoutingMode.ADAPTIVE]] == [0, 2, 4]
+        assert "failed" in fig.series[RoutingMode.STATIC][2].extra
+
+    @pytest.mark.parametrize("severity", [9, -1])
+    def test_out_of_range_severity_rejected(self, severity):
+        with pytest.raises(ConfigurationError, match="fat pairs"):
+            run_campaign(CAMPAIGN, "quick", (severity,))
 
     def test_failed_point_recorded_not_fatal(self, monkeypatch):
         def flaky(experiment):
@@ -175,17 +204,17 @@ class TestRunFailoverCampaign:
             return _fake_result(experiment)
 
         monkeypatch.setattr(failover, "simulate_fat_mesh", flaky)
-        fig = run_failover_campaign("quick", severities=(2,))
+        fig = run_campaign(CAMPAIGN, "quick", (2,))
         static = fig.series[RoutingMode.STATIC][0]
         assert "failed" in static.extra
         assert "SimulationError" in static.extra["failed"]
-        text = failover_campaign_to_text(fig)
+        text = campaign_to_text(CAMPAIGN, fig)
         assert "FAILED" in text
 
     def test_text_rendering(self, monkeypatch):
         monkeypatch.setattr(failover, "simulate_fat_mesh", _fake_result)
-        fig = run_failover_campaign("quick", severities=(0, 2))
-        text = failover_campaign_to_text(fig)
+        fig = run_campaign(CAMPAIGN, "quick", (0, 2))
+        text = campaign_to_text(CAMPAIGN, fig)
         assert "qos frac" in text
         assert "adaptive" in text and "static" in text
         assert "0.9000" in text  # static @ severity 2

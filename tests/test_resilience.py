@@ -9,11 +9,17 @@ import time
 
 import pytest
 
+from campaign_fakes import CLI_VALUES, must_not_run, restore_fixture
 from conftest import TINY
 
 import repro.experiments.cli as cli
 import repro.experiments.faultsweep as faultsweep
 from repro.errors import DeadlockError, PointTimeoutError, SimulationError
+from repro.experiments.campaign import (
+    _empty_metrics,
+    campaign_to_text,
+    run_campaign,
+)
 from repro.experiments.config import SingleSwitchExperiment
 from repro.experiments.figures import PROFILES, RunProfile
 from repro.experiments.parallel import CRASH_RESEED_STEP
@@ -300,7 +306,7 @@ def _fake_result(policy, rate):
     """A stand-in ExperimentResult for stubbed campaign runs."""
 
     class _Result:
-        metrics = faultsweep._empty_metrics()
+        metrics = _empty_metrics()
         fault_stats = {
             "flits_lost": 7,
             "delivered_fraction": 0.995,
@@ -326,11 +332,11 @@ class TestFaultCampaign:
         return calls
 
     def test_campaign_sweeps_both_schedulers(self, stub_runner):
-        fig = faultsweep.run_fault_campaign("tiny", rates=(0.0, 0.01))
+        fig = run_campaign(faultsweep.CAMPAIGN, "tiny", (0.0, 0.01))
         assert sorted(fig.series) == ["fifo", "virtual_clock"]
         assert [p.x for p in fig.series["fifo"]] == [0.0, 0.01]
         assert len(stub_runner) == 4
-        text = faultsweep.fault_campaign_to_text(fig)
+        text = campaign_to_text(faultsweep.CAMPAIGN, fig)
         assert "scheduler" in text
         assert "0.9950" in text
 
@@ -338,15 +344,15 @@ class TestFaultCampaign:
         path = tmp_path / "faults.json"
         meta = {"rates": ["0.01"]}
         cp = SweepCheckpoint(path, meta=meta)
-        faultsweep.run_fault_campaign("tiny", rates=(0.01,), checkpoint=cp)
+        run_campaign(faultsweep.CAMPAIGN, "tiny", (0.01,), checkpoint=cp)
         assert sorted(cp.done_keys) == ["fifo@0.01", "virtual_clock@0.01"]
         assert len(stub_runner) == 2
 
         # a rerun against the same checkpoint recomputes nothing
         logs = []
         cp2 = SweepCheckpoint(path, meta=meta)
-        fig = faultsweep.run_fault_campaign(
-            "tiny", rates=(0.01,), checkpoint=cp2, log=logs.append
+        fig = run_campaign(
+            faultsweep.CAMPAIGN, "tiny", (0.01,), checkpoint=cp2, log=logs.append
         )
         assert len(stub_runner) == 2  # no new simulation calls
         assert any("restored from checkpoint" in line for line in logs)
@@ -361,15 +367,33 @@ class TestFaultCampaign:
 
         monkeypatch.setattr(faultsweep, "simulate_fat_mesh", wedge)
         cp = SweepCheckpoint(tmp_path / "faults.json", meta={})
-        fig = faultsweep.run_fault_campaign(
-            "tiny", rates=(0.02,), checkpoint=cp
-        )
+        fig = run_campaign(faultsweep.CAMPAIGN, "tiny", (0.02,), checkpoint=cp)
         for points in fig.series.values():
             assert "DeadlockError" in points[0].extra["failed"]
-        text = faultsweep.fault_campaign_to_text(fig)
+        text = campaign_to_text(faultsweep.CAMPAIGN, fig)
         assert "FAILED" in text
         # the failure is checkpointed too: a rerun does not retry it
         assert sorted(cp.done_keys) == ["fifo@0.02", "virtual_clock@0.02"]
+
+    def test_old_checkpoint_restores_without_recompute(
+        self, monkeypatch, tmp_path
+    ):
+        """Keys and point encoding match a checkpoint an earlier release
+        wrote (tests/campaign_fixtures/faults.checkpoint.json)."""
+        monkeypatch.setattr(faultsweep, "simulate_fat_mesh", must_not_run)
+        cp = restore_fixture("faults", tmp_path)
+        logs = []
+        fig = run_campaign(
+            faultsweep.CAMPAIGN,
+            "quick",
+            CLI_VALUES["faults"],
+            checkpoint=cp,
+            log=logs.append,
+        )
+        assert len(logs) == len(cp.done_keys) == 4
+        assert all("restored from checkpoint" in line for line in logs)
+        assert [p.x for p in fig.series["virtual_clock"]] == [0.0, 0.02]
+        assert "failed" in fig.series["fifo"][1].extra
 
 
 class TestCliResilience:
